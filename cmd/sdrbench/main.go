@@ -88,14 +88,12 @@ func run(args []string, out io.Writer) error {
 		vStarts      = fs.Int("verify-starts", 4, "number of seeded corrupted starts per -verify cell")
 		vMaxConfig   = fs.Int("verify-max-configs", 0, "configuration cap per -verify exploration (0 = checker default)")
 		vMaxSel      = fs.Int("verify-max-selection", 1, "daemon selection size cap for -verify: k certifies daemons activating ≤ k processes per step; 0 is exact but exponential")
-		shards       = fs.Int("shards", 0, "engine shard count for -sweep/-churn cells (see sim.WithShards); 0 or 1 runs the sequential engine, >1 runs sharded (exact for the synchronous daemon, locally-central family otherwise; memoization is dropped)")
+		shards       = fs.Int("shards", 0, "engine shard count for -sweep/-churn cells (see sim.WithShards); 0 or 1 runs the sequential engine, >1 runs sharded (exact for the synchronous daemon, locally-central family otherwise)")
 		shardBench   = fs.Bool("shard-bench", false, "benchmark the sharded synchronous engine: one large torus unison∘SDR run per -shard-counts entry, with bit-identity checked across shard counts (writes BENCH_SHARD.json with -json)")
 		shardN       = fs.Int("shard-n", 1_000_000, "approximate network size of the -shard-bench torus (rounded up to the next square)")
 		shardSteps   = fs.Int("shard-steps", 12, "synchronous steps each -shard-bench run executes")
 		shardCounts  = fs.String("shard-counts", "1,2,4", "comma-separated shard counts -shard-bench compares (first entry is the speedup baseline)")
 		profileSteps = fs.Int("profile-steps", 0, "sample every k-th engine step and print the per-phase timing table over the -algorithms × -topologies × -daemons × -sizes grid (with -shards > 1: per-shard breakdown); writes BENCH_PROFILE.json with -json")
-		memo         = fs.Bool("memo", true, "share each cell's neighbourhood→enabled-rules table across its trials (results are bit-identical either way; -memo=false for A/B timing)")
-		memoCap      = fs.Int("memo-cap", 0, "max entries per memo table (0 = the sim package default)")
 		cpuProfile   = fs.String("cpuprofile", "", "write a CPU profile to this file")
 		memProfile   = fs.String("memprofile", "", "write a heap profile to this file on exit")
 	)
@@ -173,8 +171,6 @@ func run(args []string, out io.Writer) error {
 	if cfg.Parallel <= 0 {
 		cfg.Parallel = runtime.NumCPU()
 	}
-	cfg.MemoOff = !*memo
-	cfg.MemoCap = *memoCap
 	if *shards < 0 {
 		return fmt.Errorf("-shards must be ≥ 0, got %d", *shards)
 	}
@@ -232,7 +228,7 @@ func run(args []string, out io.Writer) error {
 			MaxSteps:   cfg.MaxSteps,
 			Shards:     cfg.Shards,
 		}
-		table, err := bench.RunProfile(sw, *profileSteps, cfg)
+		table, err := bench.RunProfile(sw, *profileSteps)
 		if err != nil {
 			return err
 		}
@@ -372,15 +368,11 @@ var campaignInterrupt = func() (<-chan struct{}, func()) {
 // baseline snapshot is written as <jsonDir>/BENCH_<ID>.json (rotating any
 // previous snapshot). SIGINT/SIGTERM stop the campaign gracefully: the JSONL
 // checkpoint is flushed, and the run exits non-zero with a -resume hint.
-// Only cfg's execution knobs are read: Parallel, and MemoOff/MemoCap (a
-// -memo=false run disables memoization even when the spec leaves it on).
+// Only cfg's Parallel knob is read.
 func runCampaign(specPath, jsonDir string, resume, markdown bool, cfg bench.Config, out io.Writer) error {
 	spec, err := campaign.LoadSpec(specPath)
 	if err != nil {
 		return err
-	}
-	if cfg.MemoOff {
-		spec.MemoOff = true
 	}
 	jsonlPath := filepath.Join(jsonDir, fmt.Sprintf("CAMPAIGN_%s.jsonl", spec.ID))
 	fmt.Fprintf(out, "campaign %s → %s\n", spec.ID, jsonlPath)
@@ -388,7 +380,6 @@ func runCampaign(specPath, jsonDir string, resume, markdown bool, cfg bench.Conf
 	defer stopNotify()
 	res, err := campaign.Run(spec, jsonlPath, campaign.Options{
 		Parallel:  cfg.Parallel,
-		MemoCap:   cfg.MemoCap,
 		Resume:    resume,
 		Progress:  out,
 		Interrupt: interrupt,

@@ -343,24 +343,8 @@ func TestShardedSweepMatchesSequentialSynchronous(t *testing.T) {
 	if err := run(append(append([]string{}, base...), "-shards", "2"), &sharded); err != nil {
 		t.Fatalf("sharded sweep: %v", err)
 	}
-	// Sharded cells skip memoization, so the memo-hit% column differs (and
-	// with it the column padding); every measurement column must agree
-	// (synchronous sharding is exact). Normalize by splitting rows into
-	// fields and blanking memo-hit values ("-" or a percentage).
-	normalize := func(s string) string {
-		var lines []string
-		for _, l := range strings.Split(s, "\n") {
-			f := strings.Fields(l)
-			for i, tok := range f {
-				if tok == "-" || strings.HasSuffix(tok, "%") {
-					f[i] = "_"
-				}
-			}
-			lines = append(lines, strings.Join(f, " "))
-		}
-		return strings.Join(lines, "\n")
-	}
-	if normalize(seq.String()) != normalize(sharded.String()) {
+	// Synchronous sharding is exact, so the tables are byte-identical.
+	if seq.String() != sharded.String() {
 		t.Errorf("sharded synchronous sweep diverges:\n--- sequential\n%s--- sharded\n%s", seq.String(), sharded.String())
 	}
 }

@@ -1,7 +1,7 @@
 // Command sdrd serves the simulation stack as a long-running HTTP+JSON
 // service (internal/server): clients submit scenario specs, sweep grids or
 // full campaign specs as jobs, follow their campaign JSONL record streams
-// live, and read queue/dedup/memoization statistics. Identical submissions
+// live, and read queue and dedup statistics. Identical submissions
 // are deduplicated by content hash — concurrent duplicates attach to the
 // in-flight job, repeats of completed jobs are answered from a bounded
 // result cache without re-running anything.
@@ -11,7 +11,7 @@
 //
 // Observability: GET /metrics exposes the shared obs registry (queue depth,
 // job/dedup/backpressure counters, request and job latency histograms,
-// records/sec, memo hit rate) in Prometheus text format, request and
+// records/sec) in Prometheus text format, request and
 // job-lifecycle events go to structured stderr logs, and -pprof additionally
 // mounts GET /debug/pprof/* for runtime profiles.
 //
@@ -20,9 +20,15 @@
 // (the same checkpoint semantics as the CLI's SIGINT handling), and exits
 // once every stream is flushed.
 //
+// Connections are bounded in time where that cannot cut a job short: a
+// client gets readHeaderTimeout to send its request headers and an idle
+// keep-alive connection is closed after idleTimeout. There is no write
+// timeout, because record streams followed live stay open for as long as
+// their job runs.
+//
 // Usage:
 //
-//	sdrd [-addr :8321] [-workers 2] [-queue 16] [-parallel 8] [-cache 64] [-memo-cap 0] [-pprof] [-log-json]
+//	sdrd [-addr :8321] [-workers 2] [-queue 16] [-parallel 8] [-cache 64] [-pprof] [-log-json]
 package main
 
 import (
@@ -41,6 +47,12 @@ import (
 	"sdr/internal/server"
 )
 
+// Connection timeouts of the HTTP server (see the package comment).
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
 func main() {
 	if err := run(os.Args[1:]); err != nil {
 		fmt.Fprintln(os.Stderr, "sdrd:", err)
@@ -56,7 +68,6 @@ func run(args []string) error {
 	fs.IntVar(&cfg.QueueDepth, "queue", 16, "max queued (accepted, not started) jobs; beyond this, submissions get 429")
 	fs.IntVar(&cfg.Parallel, "parallel", 0, "per-job trial parallelism (0 = one per CPU); record streams are identical for every value")
 	fs.IntVar(&cfg.ResultCache, "cache", 64, "completed jobs retained for dedup and record serving (LRU)")
-	fs.IntVar(&cfg.MemoCap, "memo-cap", 0, "max entries per cell's transition-memo table (0 = the sim package default)")
 	pprofOn := fs.Bool("pprof", false, "mount GET /debug/pprof/* (exposes stacks and heap contents; opt-in)")
 	logJSON := fs.Bool("log-json", false, "emit structured logs as JSON instead of logfmt-style text")
 	if err := fs.Parse(args); err != nil {
@@ -75,7 +86,12 @@ func run(args []string) error {
 	if *pprofOn {
 		api.EnablePprof()
 	}
-	srv := &http.Server{Addr: *addr, Handler: api}
+	srv := &http.Server{
+		Addr:              *addr,
+		Handler:           api,
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+	}
 
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {

@@ -8,10 +8,9 @@
 //     in a compact CSR adjacency layout (Graph.CSR) with allocation-free
 //     Degree/Neighbor iteration and a mutable overlay for churn edits;
 //   - internal/sim      — the locally shared memory model with composite
-//     atomicity, daemons, move/round accounting, the shared
-//     neighbourhood→enabled-rules memoization layer (MemoEvaluator,
-//     bit-identical to direct evaluation, with hit-rate telemetry), and the
-//     sharded engine (WithShards: shard-parallel steps over contiguous node
+//     atomicity, daemons, move/round accounting, the incremental engine
+//     (guards evaluated directly, only where a step can change them), and
+//     the sharded engine (WithShards: shard-parallel steps over contiguous node
 //     ranges, bit-identical to the sequential engine for the synchronous
 //     daemon, a documented locally-central daemon family otherwise);
 //   - internal/core     — Algorithm SDR (the paper's contribution) and the

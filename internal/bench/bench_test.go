@@ -3,6 +3,7 @@ package bench
 import (
 	"bytes"
 	"encoding/json"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -163,6 +164,96 @@ func TestRunSweepGrid(t *testing.T) {
 		var buf bytes.Buffer
 		_ = table.Render(&buf)
 		t.Fatalf("sweep reported violations:\n%s", buf.String())
+	}
+}
+
+// memoTestSweep is the sweep the former memo telemetry was pinned on: two
+// algorithms × two topologies with several trials per cell.
+func memoTestSweep() scenario.Sweep {
+	return scenario.Sweep{
+		Algorithms: []string{"unison", "bfstree"},
+		Topologies: []string{"ring", "grid"},
+		Daemons:    []string{"synchronous", "distributed-random"},
+		Faults:     []string{"random-all"},
+		Sizes:      []int{6},
+		Trials:     4,
+		Seed:       3,
+		MaxSteps:   200_000,
+	}
+}
+
+// hasColumn reports whether the table has a column named name.
+func hasColumn(table Table, name string) bool {
+	for _, c := range table.Columns {
+		if c == name {
+			return true
+		}
+	}
+	return false
+}
+
+// TestRunSweepMemoHitRates pins the retirement of the memo-hit% telemetry
+// column: engine runs evaluate guards directly, so the SWEEP table has no
+// such column and every row is exactly as wide as the header.
+func TestRunSweepMemoHitRates(t *testing.T) {
+	table, err := RunSweep(memoTestSweep(), Config{Parallel: 2})
+	if err != nil {
+		t.Fatalf("RunSweep: %v", err)
+	}
+	if hasColumn(table, "memo-hit%") {
+		t.Errorf("SWEEP table still has a memo-hit%% column: %v", table.Columns)
+	}
+	if len(table.Rows) == 0 {
+		t.Fatal("SWEEP table has no rows")
+	}
+	for _, row := range table.Rows {
+		if len(row) != len(table.Columns) {
+			t.Errorf("row %v has %d cells for %d columns", row, len(row), len(table.Columns))
+		}
+	}
+}
+
+// TestRunSweepMemoDeterministicAcrossParallelism pins the sweep's
+// parallelism contract with the full-width trial waves that replaced the
+// memo's solo donor trial: trials derive everything from their seeds, so the
+// table is identical sequentially, at two workers (every trial of a 4-trial
+// cell scheduled in two waves) and at eight (all of a cell at once).
+func TestRunSweepMemoDeterministicAcrossParallelism(t *testing.T) {
+	seq, err := RunSweep(memoTestSweep(), Config{Parallel: 1})
+	if err != nil {
+		t.Fatalf("RunSweep(parallel=1): %v", err)
+	}
+	for _, p := range []int{2, 8} {
+		par, err := RunSweep(memoTestSweep(), Config{Parallel: p})
+		if err != nil {
+			t.Fatalf("RunSweep(parallel=%d): %v", p, err)
+		}
+		if !reflect.DeepEqual(seq, par) {
+			t.Errorf("SWEEP table differs at parallel=%d:\nseq: %+v\npar: %+v", p, seq, par)
+		}
+	}
+}
+
+// TestExperimentTablesUnchangedByMemo pins the experiment tables after the
+// memo removal: no table carries a memo-hit% column, and every table is
+// identical sequentially and in parallel.
+func TestExperimentTablesUnchangedByMemo(t *testing.T) {
+	cfg := Config{Sizes: []int{6}, Trials: 2, Seed: 11, MaxSteps: 200_000, Parallel: 1}
+	for _, e := range []string{"E1", "E3", "E6", "E9", "A1", "X1"} {
+		exp, err := ExperimentByID(e)
+		if err != nil {
+			t.Fatal(err)
+		}
+		par := cfg
+		par.Parallel = 4
+		seqTable := exp.Run(cfg)
+		parTable := exp.Run(par)
+		if hasColumn(seqTable, "memo-hit%") {
+			t.Errorf("%s: table still has a memo-hit%% column: %v", e, seqTable.Columns)
+		}
+		if !reflect.DeepEqual(seqTable, parTable) {
+			t.Errorf("%s: table differs across parallelism:\n%+v\n%+v", e, seqTable, parTable)
+		}
 	}
 }
 

@@ -21,19 +21,16 @@ import (
 // parallel phase.
 //
 // Cells run strictly sequentially, never overlapped, so the timings are not
-// distorted by sibling cells competing for cores; only cfg's MemoOff/MemoCap
-// knobs are read. Unsatisfiable cells are skipped with a note. Wall-clock
+// distorted by sibling cells competing for cores. Unsatisfiable cells are
+// skipped with a note. Wall-clock
 // numbers are hardware-bound: the table records GOMAXPROCS for context and
 // is excluded from byte-reproducibility expectations.
-func RunProfile(sw scenario.Sweep, every int, cfg Config) (Table, error) {
+func RunProfile(sw scenario.Sweep, every int) (Table, error) {
 	if err := sw.Validate(); err != nil {
 		return Table{}, err
 	}
 	if every < 1 {
 		every = 1
-	}
-	if sw.Shards > 1 {
-		cfg.MemoOff = true
 	}
 	t := Table{
 		ID: "PROFILE",
@@ -52,8 +49,7 @@ func RunProfile(sw scenario.Sweep, every int, cfg Config) (Table, error) {
 			return Table{}, err
 		}
 		prof := obs.NewPhaseProfiler(every)
-		opts := append(cfg.memoSelf(), sim.WithProfiler(prof))
-		run.Execute(opts...)
+		run.Execute(sim.WithProfiler(prof))
 		p := prof.Profile()
 		if p.SampledSteps == 0 {
 			t.AddNote("%s/%s n=%d %s: no steps sampled", c.Algorithm, c.Topology, c.N, c.Daemon)

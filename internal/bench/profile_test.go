@@ -48,7 +48,7 @@ func cellFloat(t *testing.T, row []string, col int) float64 {
 }
 
 func TestRunProfileSequentialSumsToStepWall(t *testing.T) {
-	table, err := RunProfile(profileSweep(0), 1, Config{})
+	table, err := RunProfile(profileSweep(0), 1)
 	if err != nil {
 		t.Fatalf("RunProfile: %v", err)
 	}
@@ -80,7 +80,7 @@ func TestRunProfileSequentialSumsToStepWall(t *testing.T) {
 }
 
 func TestRunProfileShardedBreakdown(t *testing.T) {
-	table, err := RunProfile(profileSweep(4), 1, Config{})
+	table, err := RunProfile(profileSweep(4), 1)
 	if err != nil {
 		t.Fatalf("RunProfile: %v", err)
 	}
@@ -109,7 +109,7 @@ func TestRunProfileSkipsUnsatisfiable(t *testing.T) {
 		Seed:       1,
 		MaxSteps:   10_000,
 	}
-	table, err := RunProfile(sw, 1, Config{})
+	table, err := RunProfile(sw, 1)
 	if err != nil {
 		t.Fatalf("RunProfile: %v", err)
 	}

@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"sdr/internal/scenario"
-	"sdr/internal/sim"
 	"sdr/internal/stats"
 )
 
@@ -20,8 +19,8 @@ import (
 // Per-trial seeding makes the table bit-identical at every parallelism
 // level: each trial resolves its own scenario (and hence its own single-use
 // churn injector) from a seed derived only from the sweep's base seed and the
-// trial index. Only cfg's execution knobs are read (Parallel, MemoOff,
-// MemoCap); the grid itself comes from sw.
+// trial index. Only cfg's Parallel knob is read; the grid itself comes from
+// sw.
 func RunRecovery(sw scenario.Sweep, cfg Config) (Table, error) {
 	if len(sw.Churns) == 0 {
 		return Table{}, fmt.Errorf("bench: recovery sweep needs at least one churn schedule (see scenario.ChurnSchedules)")
@@ -34,10 +33,6 @@ func RunRecovery(sw scenario.Sweep, cfg Config) (Table, error) {
 	if err := sw.Validate(); err != nil {
 		return Table{}, err
 	}
-	if sw.Shards > 1 {
-		// Sharded cells run unmemoized, as in RunSweep.
-		cfg.MemoOff = true
-	}
 	trials := sw.Trials
 	if trials <= 0 {
 		trials = 1
@@ -47,30 +42,27 @@ func RunRecovery(sw scenario.Sweep, cfg Config) (Table, error) {
 		ID:    "RECOVERY",
 		Title: fmt.Sprintf("mid-run churn: per-event re-stabilization costs (%d trials per cell, base seed %d)", trials, sw.Seed),
 		Columns: []string{"algorithm", "topology", "n", "daemon", "fault", "churn",
-			"events", "recovered", "rec-rounds(p50)", "rec-rounds(p95)", "rec-moves(mean)", "avail(mean)", "memo-hit%", "ok"},
+			"events", "recovered", "rec-rounds(p50)", "rec-rounds(p95)", "rec-moves(mean)", "avail(mean)", "ok"},
 	}
 	cells := sw.Cells()
-	shares := cfg.memoShares(len(cells))
 	type trial struct {
 		events, recovered int
 		recRounds         []float64
 		recMoves          []int
 		availability      float64
-		memo              sim.MemoStats
 		legitimate, ok    bool
 		skipped           bool
 		err               error
 	}
-	results := MapGridWarm(cfg.Parallel, len(cells), trials, func(ci, tr int) trial {
+	results := MapGrid(cfg.Parallel, len(cells), trials, func(ci, tr int) trial {
 		run, err := sw.Trial(cells[ci], tr).Resolve()
 		if err != nil {
 			return trial{skipped: errors.Is(err, scenario.ErrUnsatisfiable), err: err}
 		}
-		res := run.Execute(memoOpt(shares, ci, tr)...)
+		res := run.Execute()
 		out := trial{
 			events:       len(res.Events),
 			availability: res.Availability(),
-			memo:         res.Memo,
 			legitimate:   res.LegitimateReached,
 			ok:           run.Report(res).OK,
 		}
@@ -87,7 +79,6 @@ func RunRecovery(sw scenario.Sweep, cfg Config) (Table, error) {
 		var recRounds []float64
 		var recMoves []int
 		var avail []float64
-		var memo sim.MemoStats
 		events, recovered, skipped := 0, 0, 0
 		ran, ok := 0, true
 		for _, tr := range results[ci] {
@@ -104,12 +95,11 @@ func RunRecovery(sw scenario.Sweep, cfg Config) (Table, error) {
 			recRounds = append(recRounds, tr.recRounds...)
 			recMoves = append(recMoves, tr.recMoves...)
 			avail = append(avail, tr.availability)
-			memo.Add(tr.memo)
 			ok = ok && tr.ok
 		}
 		if ran == 0 {
 			t.AddRow(c.Algorithm, c.Topology, itoa(c.N), c.Daemon, c.Fault, c.Churn,
-				"skipped", "-", "-", "-", "-", "-", "-", boolCell(true))
+				"skipped", "-", "-", "-", "-", "-", boolCell(true))
 			continue
 		}
 		if skipped > 0 {
@@ -130,7 +120,7 @@ func RunRecovery(sw scenario.Sweep, cfg Config) (Table, error) {
 		}
 		t.AddRow(c.Algorithm, c.Topology, itoa(c.N), c.Daemon, c.Fault, c.Churn,
 			itoa(events), itoa(recovered), p50, p95, movesMean,
-			fmt.Sprintf("%.3f", stats.Summarize(avail).Mean), memoHitCell(memo), boolCell(ok))
+			fmt.Sprintf("%.3f", stats.Summarize(avail).Mean), boolCell(ok))
 	}
 	return t, nil
 }

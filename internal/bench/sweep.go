@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"sdr/internal/scenario"
-	"sdr/internal/sim"
 	"sdr/internal/stats"
 )
 
@@ -15,16 +14,11 @@ import (
 // cannot run on the resolved topology (scenario.ErrUnsatisfiable) are
 // reported as skipped; any other resolution error fails the sweep. A row
 // whose runs do not reach their goal (termination or stabilization, plus the
-// algorithm's own output check) counts as a violation. Only cfg's execution
-// knobs are read (Parallel, MemoOff, MemoCap); the grid itself comes from sw.
+// algorithm's own output check) counts as a violation. Only cfg's Parallel
+// knob is read; the grid itself comes from sw.
 func RunSweep(sw scenario.Sweep, cfg Config) (Table, error) {
 	if err := sw.Validate(); err != nil {
 		return Table{}, err
-	}
-	if sw.Shards > 1 {
-		// Sharded cells run unmemoized: WithMemo + WithShards is a validation
-		// error (the memo table is not safe for concurrent guard evaluation).
-		cfg.MemoOff = true
 	}
 	trials := sw.Trials
 	if trials <= 0 {
@@ -34,27 +28,24 @@ func RunSweep(sw scenario.Sweep, cfg Config) (Table, error) {
 	t := Table{
 		ID:      "SWEEP",
 		Title:   fmt.Sprintf("custom scenario sweep (%d trials per cell, base seed %d)", trials, sw.Seed),
-		Columns: []string{"algorithm", "topology", "n", "daemon", "fault", "moves(mean)", "rounds(max)", "memo-hit%", "ok"},
+		Columns: []string{"algorithm", "topology", "n", "daemon", "fault", "moves(mean)", "rounds(max)", "ok"},
 	}
 	cells := sw.Cells()
-	shares := cfg.memoShares(len(cells))
 	type trial struct {
 		moves, rounds int
-		memo          sim.MemoStats
 		ok, skipped   bool
 		err           error
 	}
-	results := MapGridWarm(cfg.Parallel, len(cells), trials, func(ci, tr int) trial {
+	results := MapGrid(cfg.Parallel, len(cells), trials, func(ci, tr int) trial {
 		run, err := sw.Trial(cells[ci], tr).Resolve()
 		if err != nil {
 			return trial{skipped: errors.Is(err, scenario.ErrUnsatisfiable), err: err}
 		}
-		res := run.Execute(memoOpt(shares, ci, tr)...)
-		return trial{moves: res.Moves, rounds: res.Rounds, memo: res.Memo, ok: run.Report(res).OK}
+		res := run.Execute()
+		return trial{moves: res.Moves, rounds: res.Rounds, ok: run.Report(res).OK}
 	})
 	for ci, c := range cells {
 		var moves []int
-		var memo sim.MemoStats
 		maxRounds, skipped := 0, 0
 		ok := true
 		for _, tr := range results[ci] {
@@ -67,12 +58,11 @@ func RunSweep(sw scenario.Sweep, cfg Config) (Table, error) {
 			}
 			moves = append(moves, tr.moves)
 			maxRounds = maxInt(maxRounds, tr.rounds)
-			memo.Add(tr.memo)
 			ok = ok && tr.ok
 		}
 		if len(moves) == 0 {
 			// Every trial was unsatisfiable on its resolved topology.
-			t.AddRow(c.Algorithm, c.Topology, itoa(c.N), c.Daemon, c.Fault, "skipped", "-", "-", boolCell(true))
+			t.AddRow(c.Algorithm, c.Topology, itoa(c.N), c.Daemon, c.Fault, "skipped", "-", boolCell(true))
 			continue
 		}
 		// Trials that did run are judged normally even when sibling trials
@@ -85,7 +75,7 @@ func RunSweep(sw scenario.Sweep, cfg Config) (Table, error) {
 			t.Violations++
 		}
 		t.AddRow(c.Algorithm, c.Topology, itoa(c.N), c.Daemon, c.Fault,
-			ftoa(stats.SummarizeInts(moves).Mean), itoa(maxRounds), memoHitCell(memo), boolCell(ok))
+			ftoa(stats.SummarizeInts(moves).Mean), itoa(maxRounds), boolCell(ok))
 	}
 	return t, nil
 }

@@ -48,11 +48,10 @@ const (
 	MetricRecoveryMoves  = "recovery_moves"
 	MetricRecoverySteps  = "recovery_steps"
 	MetricAvailability   = "availability"
-	// MetricMemoHitRate is the fraction of the trial's memoized enabledness
-	// lookups answered from cache, recorded on trials that performed at least
-	// one lookup (memoization on and the algorithm's rule set memoizable).
-	// The cache-filling protocol is deterministic, so the value is as
-	// reproducible as the cost metrics.
+	// MetricMemoHitRate named the hit rate of the engine's former
+	// transition memo. No record writes it any more (engine runs evaluate
+	// guards directly) and it is not a known metric; the name stays for
+	// readers of older streams and baselines.
 	MetricMemoHitRate = "memo_hit_rate"
 	// MetricDuration is the wall-clock nanoseconds of the trial, recorded
 	// only when Spec.RecordTime is set (it makes resumed output differ from
@@ -71,7 +70,7 @@ func Metrics() []string {
 	return []string{MetricMoves, MetricRounds, MetricSteps,
 		MetricStabMoves, MetricStabRounds, MetricStabSteps,
 		MetricRecoveryRounds, MetricRecoveryMoves, MetricRecoverySteps,
-		MetricAvailability, MetricMemoHitRate, MetricDuration}
+		MetricAvailability, MetricDuration}
 }
 
 // DefaultMinTrials is the per-cell trial count used when a Spec leaves
@@ -115,10 +114,9 @@ type Spec struct {
 	// Shards is the engine shard count every trial runs with (see
 	// sim.WithShards); 0 or 1 means the sequential engine — the field
 	// marshals away, so existing spec files, streams and baselines keep
-	// their byte encoding. Sharded cells run without memoization (the
-	// memoized evaluator is sequential-only); synchronous-daemon cells are
-	// bit-identical across shard counts, other daemons switch to the
-	// locally-central sharded family.
+	// their byte encoding. Synchronous-daemon cells are bit-identical across
+	// shard counts, other daemons switch to the locally-central sharded
+	// family.
 	Shards int `json:"shards,omitempty"`
 	// Params carries the entry-specific scenario knobs shared by every cell.
 	Params scenario.Params `json:"params,omitzero"`
@@ -147,13 +145,6 @@ type Spec struct {
 	// same reason as RecordTime: timings are non-deterministic, so profiled
 	// streams are not byte-reproducible.
 	ProfileSteps int `json:"profile_steps,omitempty"`
-	// MemoOff disables the per-cell transition memoization (the zero value
-	// keeps it on: each cell's first satisfiable trial fills a shared
-	// read-only guard cache for the rest of the cell). Measurements are
-	// bit-identical either way; the switch only removes the memo_hit_rate
-	// metric from the records — which is why it is part of the spec, and a
-	// stream cannot be resumed under the opposite setting.
-	MemoOff bool `json:"memo_off,omitempty"`
 }
 
 // LoadSpec reads and validates a JSON campaign spec file.

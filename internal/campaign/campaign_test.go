@@ -207,6 +207,42 @@ func TestRunParallelByteIdentical(t *testing.T) {
 	}
 }
 
+// TestCampaignRecordsMemoHitRate pins the retirement of the memo telemetry:
+// engine runs evaluate guards directly, so no trial record and no cell
+// aggregate carries MetricMemoHitRate, and a spec cannot select it as its
+// adaptive metric. The constant itself stays for readers of older streams.
+func TestCampaignRecordsMemoHitRate(t *testing.T) {
+	spec := testSpec()
+	res, path := runInto(t, spec, Options{Parallel: 4})
+	for i, line := range readLines(t, path)[1:] {
+		var rec TrialRecord
+		if err := json.Unmarshal([]byte(line), &rec); err != nil {
+			t.Fatalf("bad trial line %d: %v", i, err)
+		}
+		if len(rec.Metrics) == 0 {
+			t.Errorf("trial %d recorded no metrics", i)
+		}
+		if hr, ok := rec.Metrics[MetricMemoHitRate]; ok {
+			t.Errorf("trial %d still records %s = %v", i, MetricMemoHitRate, hr)
+		}
+	}
+	for _, c := range res.Cells {
+		if agg, ok := c.Metrics[MetricMemoHitRate]; ok {
+			t.Errorf("cell %s still aggregates %s: %+v", c.Cell, MetricMemoHitRate, agg)
+		}
+	}
+	for _, m := range Metrics() {
+		if m == MetricMemoHitRate {
+			t.Errorf("Metrics() still lists %s", MetricMemoHitRate)
+		}
+	}
+	adaptive := spec
+	adaptive.Metric = MetricMemoHitRate
+	if err := adaptive.Validate(); err == nil {
+		t.Errorf("Validate accepted %s as the adaptive metric", MetricMemoHitRate)
+	}
+}
+
 func TestRunRefusesExistingStream(t *testing.T) {
 	spec := testSpec()
 	_, path := runInto(t, spec, Options{})

@@ -22,9 +22,6 @@ type Options struct {
 	// sequentially. It changes wall-clock time only: the JSONL stream and
 	// the aggregates are identical for every value.
 	Parallel int
-	// MemoCap bounds each cell's memo table entry count; 0 means
-	// sim.DefaultMemoEntries. Ignored when the spec sets MemoOff.
-	MemoCap int
 	// Resume permits continuing an existing JSONL stream from its last
 	// completed trial. Without it an existing output file is an error.
 	Resume bool
@@ -148,43 +145,14 @@ func runStream(spec Spec, sw scenario.Sweep, cells []scenario.Cell, existing [][
 	result := &Result{Spec: spec, Cells: make([]CellAggregate, 0, len(cells))}
 	for ci, cell := range cells {
 		recs := existing[ci]
-		// Per-cell transition memo: the cell's first satisfiable trial runs
-		// alone, fills the share's table and donates it; every later trial
-		// reads it frozen. Keeping the donor designated (rather than letting
-		// concurrent trials race to donate) makes the recorded hit rates as
-		// independent of Parallel as the cost metrics. Sharded cells run
-		// unmemoized: the memoized evaluator is sequential-only (see
-		// sim.WithShards), so a sharded campaign simply drops the
-		// memo_hit_rate metric.
-		var share *sim.MemoShare
-		if !spec.MemoOff && spec.Shards <= 1 {
-			share = sim.NewMemoShare(opts.MemoCap)
-		}
-		donated := false
 		// Replay the resumed prefix into the accumulator; groupRecords has
 		// already rejected prefixes that overshoot the stopping rule, so the
 		// cell is complete iff the rule fires at the last record.
 		var acc stopAccum
 		done := false
-		donorTrial := -1
 		for i, r := range recs {
 			acc.observe(spec, r)
 			done = spec.stopAfter(i+1, &acc)
-			if donorTrial < 0 && !r.Skipped {
-				donorTrial = r.Trial
-			}
-		}
-		if share != nil && donorTrial >= 0 {
-			donated = true
-			if !done {
-				// Resume warm-up: reconstruct the frozen table the interrupted
-				// run's remaining trials would have seen by re-running the
-				// cell's donor trial; its record is already in the stream and
-				// the re-run's is discarded.
-				if tr := runTrial(sw, cell, donorTrial, false, 0, sim.WithMemo(share)); tr.err != nil {
-					return nil, tr.err
-				}
-			}
 		}
 		for !done {
 			if opts.interrupted() {
@@ -193,22 +161,13 @@ func runStream(spec Spec, sw scenario.Sweep, cells []scenario.Cell, existing [][
 			// One wave of trials: sized by the worker budget (bounded
 			// memory), recorded in trial order, cut short the moment the
 			// stopping rule fires so the stream never depends on Parallel.
-			// While the memo donor is still pending (every earlier trial was
-			// skipped as unsatisfiable) waves stay solo.
-			wave := opts.Parallel
-			if share != nil && !donated {
-				wave = 1
-			}
-			if wave < 1 {
-				wave = 1
-			}
+			wave := max(opts.Parallel, 1)
 			if rest := maxTrials - len(recs); wave > rest {
 				wave = rest
 			}
 			first := len(recs)
-			memoOpts := memoTrialOpt(share, donated)
 			batch := bench.MapGridContext(opts.context(), opts.Parallel, 1, wave, func(_, k int) trialOutcome {
-				tr := runTrial(sw, cells[ci], first+k, spec.RecordTime, spec.ProfileSteps, memoOpts...)
+				tr := runTrial(sw, cells[ci], first+k, spec.RecordTime, spec.ProfileSteps)
 				tr.executed = true
 				return tr
 			})
@@ -226,9 +185,6 @@ func runStream(spec Spec, sw scenario.Sweep, cells []scenario.Cell, existing [][
 				}
 				recs = append(recs, tr.rec)
 				acc.observe(spec, tr.rec)
-				if !tr.rec.Skipped {
-					donated = true
-				}
 				if err := out.WriteLine(tr.rec); err != nil {
 					return nil, err
 				}
@@ -256,19 +212,6 @@ type trialOutcome struct {
 	executed bool
 }
 
-// memoTrialOpt returns the memo option for one trial of a cell: the donating
-// (cache-filling) protocol until a satisfiable trial has donated the cell's
-// table, the read-only protocol afterwards, nothing when memoization is off.
-func memoTrialOpt(share *sim.MemoShare, donated bool) []sim.Option {
-	if share == nil {
-		return nil
-	}
-	if donated {
-		return []sim.Option{sim.WithMemoReadOnly(share)}
-	}
-	return []sim.Option{sim.WithMemo(share)}
-}
-
 // runTrial resolves and executes one (cell, trial) point and extracts its
 // metric record. Unsatisfiable cells record a skipped trial; any other
 // resolution error aborts the campaign. When profileEvery > 0 the run is
@@ -276,7 +219,7 @@ func memoTrialOpt(share *sim.MemoShare, donated bool) []sim.Option {
 // and the per-phase means land in the record as phase_* metrics — wall-clock
 // measurements, so like duration_ns they are excluded from -compare's
 // deterministic byte-identity expectations.
-func runTrial(sw scenario.Sweep, cell scenario.Cell, trial int, recordTime bool, profileEvery int, memo ...sim.Option) trialOutcome {
+func runTrial(sw scenario.Sweep, cell scenario.Cell, trial int, recordTime bool, profileEvery int) trialOutcome {
 	sp := sw.Trial(cell, trial)
 	rec := TrialRecord{Type: "trial", CellKey: cellKey(cell), Trial: trial, Seed: sp.Seed}
 	run, err := sp.Resolve()
@@ -288,13 +231,11 @@ func runTrial(sw scenario.Sweep, cell scenario.Cell, trial int, recordTime bool,
 		}
 		return trialOutcome{err: err}
 	}
-	opts := memo
+	var opts []sim.Option
 	var prof *obs.PhaseProfiler
 	if profileEvery > 0 {
 		prof = obs.NewPhaseProfiler(profileEvery)
-		// Full slice expression: appending must never scribble on a shared
-		// memo option slice another trial of the wave is reading.
-		opts = append(opts[:len(opts):len(opts)], sim.WithProfiler(prof))
+		opts = append(opts, sim.WithProfiler(prof))
 	}
 	start := time.Now()
 	res := run.Execute(opts...)
@@ -334,9 +275,6 @@ func runTrial(sw scenario.Sweep, cell scenario.Cell, trial int, recordTime bool,
 				rec.OK = false
 			}
 		}
-	}
-	if res.Memo.Lookups() > 0 {
-		rec.Metrics[MetricMemoHitRate] = res.Memo.HitRate()
 	}
 	if recordTime {
 		rec.Metrics[MetricDuration] = float64(elapsed.Nanoseconds())

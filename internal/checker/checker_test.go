@@ -4,8 +4,11 @@ import (
 	"math/rand"
 	"testing"
 
+	"sdr/internal/core"
+	"sdr/internal/faults"
 	"sdr/internal/graph"
 	"sdr/internal/sim"
+	"sdr/internal/unison"
 )
 
 // counterState and counterAlg form a tiny test algorithm: every process holds
@@ -338,6 +341,104 @@ func TestExploreSequentialParallelIdentical(t *testing.T) {
 	_, parErr := Explore(fnet, flip, fstarts, ExploreOptions{Legitimate: never, Workers: 4})
 	if seqErr == nil || parErr == nil || seqErr.Error() != parErr.Error() {
 		t.Errorf("divergence errors differ: sequential %v, parallel %v", seqErr, parErr)
+	}
+}
+
+// TestExploreGuardCacheMatchesDirect pins the per-worker guard cache: the
+// cached exploration's reports and errors equal the direct-evaluation
+// exploration's, at one worker and at many, for an algorithm that reads
+// identifiers (counterAlg, which declares nothing) and an anonymous one
+// (U∘SDR, whose keys omit identifiers).
+func TestExploreGuardCacheMatchesDirect(t *testing.T) {
+	ring := graph.Ring(5)
+	net := sim.NewNetwork(ring)
+	counterStarts := []*sim.Configuration{}
+	for a := 0; a <= 2; a++ {
+		states := make([]sim.State, ring.N())
+		for u := range states {
+			states[u] = counterState{V: (a + u) % 3}
+		}
+		counterStarts = append(counterStarts, sim.NewConfiguration(states))
+	}
+
+	u := unison.New(unison.DefaultPeriod(4))
+	comp := core.Compose(u)
+	unet := sim.NewNetwork(graph.Ring(4))
+	rng := rand.New(rand.NewSource(1))
+	var unisonStarts []*sim.Configuration
+	for i := 0; i < 4; i++ {
+		unisonStarts = append(unisonStarts, faults.MustRandomConfiguration(comp, unet, rng))
+	}
+
+	// The two spine nodes of this caterpillar have neighbourhoods too wide
+	// to pack into one word with identifiers folded in, so they exercise the
+	// spill keys; configurations that differ only on the other spine node's
+	// side repeat a spine node's key, so spill entries are also hit.
+	spine := graph.Caterpillar(2, 7)
+	spineNet := sim.NewNetwork(spine)
+	zeros := make([]sim.State, spine.N())
+	for u := range zeros {
+		zeros[u] = counterState{}
+	}
+	spineStarts := []*sim.Configuration{sim.NewConfiguration(zeros)}
+
+	cases := []struct {
+		name   string
+		net    *sim.Network
+		alg    sim.Algorithm
+		starts []*sim.Configuration
+		opts   ExploreOptions
+	}{
+		{"counter-exact", net, counterAlg{cap: 3}, counterStarts, ExploreOptions{Legitimate: allAtCap(3, ring.N())}},
+		{"counter-truncated", net, counterAlg{cap: 3}, counterStarts, ExploreOptions{MaxConfigurations: 40}},
+		{"counter-caterpillar-spill", spineNet, counterAlg{cap: 1}, spineStarts, ExploreOptions{MaxSelectionSize: 1, MaxConfigurations: 400}},
+		{"unison-sdr-ring-4", unet, comp, unisonStarts, ExploreOptions{Legitimate: core.NormalPredicate(u, unet), MaxSelectionSize: 1}},
+	}
+	for _, tc := range cases {
+		direct := tc.opts
+		direct.Workers = 1
+		want, wantErr := explore(tc.net, tc.alg, tc.starts, direct, false)
+		if want.Configurations < 10 {
+			t.Fatalf("%s: exploration too small to pin anything: %+v", tc.name, want)
+		}
+		for _, workers := range []int{1, 4} {
+			o := tc.opts
+			o.Workers = workers
+			got, err := Explore(tc.net, tc.alg, tc.starts, o)
+			if got != want {
+				t.Errorf("%s workers=%d: cached report %+v != direct %+v", tc.name, workers, got, want)
+			}
+			if (err == nil) != (wantErr == nil) || (err != nil && err.Error() != wantErr.Error()) {
+				t.Errorf("%s workers=%d: cached error %v != direct %v", tc.name, workers, err, wantErr)
+			}
+		}
+	}
+}
+
+func TestPackKey(t *testing.T) {
+	if key, ok := packKey([]uint64{5}); !ok || key != 5 {
+		t.Fatalf("single component: key=%d ok=%v, want 5 true", key, ok)
+	}
+	// A single component uses the full 64 bits.
+	if key, ok := packKey([]uint64{1 << 63}); !ok || key != 1<<63 {
+		t.Fatalf("wide single component: key=%d ok=%v, want 1<<63 true", key, ok)
+	}
+	if key, ok := packKey([]uint64{1, 2}); !ok || key != 1<<32|2 {
+		t.Fatalf("two components: key=%#x ok=%v, want 1<<32|2 true", key, ok)
+	}
+	// A component exceeding its field spills.
+	if _, ok := packKey([]uint64{1 << 32, 0}); ok {
+		t.Fatal("oversized component packed")
+	}
+	// More than 64 components leave zero bits per component.
+	if _, ok := packKey(make([]uint64, 65)); ok {
+		t.Fatal("65 components packed")
+	}
+	// Distinct component sequences of the same length pack to distinct keys.
+	a, _ := packKey([]uint64{1, 2, 3})
+	b, _ := packKey([]uint64{3, 2, 1})
+	if a == b {
+		t.Fatal("order-sensitive components collided")
 	}
 }
 

@@ -2,6 +2,7 @@ package checker
 
 import (
 	"fmt"
+	"math/bits"
 	"sync"
 
 	"sdr/internal/sim"
@@ -133,6 +134,13 @@ type expansion struct {
 // sequentially in frontier order, so every report, verdict and error is
 // bit-identical to the sequential exploration.
 func Explore(net *sim.Network, alg sim.Algorithm, starts []*sim.Configuration, opts ExploreOptions) (ExploreReport, error) {
+	return explore(net, alg, starts, opts, true)
+}
+
+// explore is Explore with the per-worker guard cache switchable: cached
+// false evaluates every guard directly, the oracle the cache is pinned
+// against.
+func explore(net *sim.Network, alg sim.Algorithm, starts []*sim.Configuration, opts ExploreOptions, cached bool) (ExploreReport, error) {
 	report := ExploreReport{Complete: true}
 	maxConfigs := opts.MaxConfigurations
 	if maxConfigs <= 0 {
@@ -151,20 +159,15 @@ func Explore(net *sim.Network, alg sim.Algorithm, starts []*sim.Configuration, o
 	// code path, so the rule set is fetched once for the whole exploration;
 	// the Evaluator is immutable and shared by all workers.
 	//
-	// On top of it, each worker owns a MemoEvaluator: distinct configurations
-	// share most of their local neighbourhoods, so exploration re-asks the
-	// same (neighbourhood → enabled rules) questions constantly, and the memo
-	// tables answer repeats with a map probe instead of a guard scan. The
-	// share's interner doubles as the configuration-key interner, so both key
-	// spaces use the same state ids. Memoized masks are pure functions of the
+	// On top of it, each worker owns a guardCache (see guardcache.go) that
+	// answers repeated neighbourhood → enabled-rules questions with a map
+	// probe; it interns through the same interner, so both key spaces use
+	// the same state ids. Cached masks are pure functions of the
 	// neighbourhood, so reports, verdicts and errors are unchanged — the
-	// per-worker-count bit-identity guarantee is unaffected. Algorithms whose
-	// rule set cannot be memoized (nil MemoEvaluator) fall back to the direct
-	// evaluator.
-	share := sim.NewMemoShare(0)
-	interner := share.Interner()
+	// per-worker-count bit-identity guarantee is unaffected. Algorithms with
+	// more rules than a mask holds (nil guardCache) evaluate directly.
+	interner := sim.NewKeyInterner()
 	ev := sim.NewEvaluator(alg, net)
-	newMemo := func() *sim.MemoEvaluator { return sim.NewMemoEvaluator(ev, share) }
 	visited := make(map[string]int)
 	var configs []*sim.Configuration
 	var succs [][]int
@@ -232,7 +235,7 @@ func Explore(net *sim.Network, alg sim.Algorithm, starts []*sim.Configuration, o
 	// immutable shared state (configs of already-merged levels, the network,
 	// the evaluator) plus the caller-owned scratch buffers, so the frontier
 	// can be expanded concurrently.
-	expand := func(idx int, memo *sim.MemoEvaluator, enabledBuf, rulesBuf, selScratch []int, buf []byte) (expansion, []int, []int, []int, []byte) {
+	expand := func(idx int, cache *guardCache, enabledBuf, rulesBuf, selScratch []int, buf []byte) (expansion, []int, []int, []int, []byte) {
 		c := configs[idx]
 		var ex expansion
 
@@ -241,13 +244,10 @@ func Explore(net *sim.Network, alg sim.Algorithm, starts []*sim.Configuration, o
 			return ex, enabledBuf, rulesBuf, selScratch, buf
 		}
 
-		// Every expansion looks at a different configuration, so the memo's
-		// per-process state-id mirror is revalidated wholesale; the tables
-		// themselves carry over (the exploration's whole point).
 		var enabled []int
-		if memo != nil {
-			memo.InvalidateAll()
-			enabled = memo.AppendEnabled(enabledBuf[:0], c)
+		if cache != nil {
+			cache.load(c)
+			enabled = cache.appendEnabled(enabledBuf[:0])
 		} else {
 			enabled = ev.AppendEnabled(enabledBuf[:0], c)
 		}
@@ -262,20 +262,22 @@ func Explore(net *sim.Network, alg sim.Algorithm, starts []*sim.Configuration, o
 
 		// Mutual-exclusion sanity check: at most one rule enabled per process.
 		for _, u := range enabled {
-			if memo != nil {
-				rulesBuf = memo.AppendEnabledRules(rulesBuf[:0], c, u)
+			var count int
+			if cache != nil {
+				count = bits.OnesCount64(cache.masks[u])
 			} else {
 				rulesBuf = ev.AppendEnabledRules(rulesBuf[:0], c, u)
+				count = len(rulesBuf)
 			}
-			if len(rulesBuf) > 1 {
-				ex.err = fmt.Errorf("checker: process %d has %d enabled rules in %s; exploration requires mutually exclusive rules", u, len(rulesBuf), c)
+			if count > 1 {
+				ex.err = fmt.Errorf("checker: process %d has %d enabled rules in %s; exploration requires mutually exclusive rules", u, count, c)
 				return ex, enabledBuf, rulesBuf, selScratch, buf
 			}
 		}
 
 		ex.capped = opts.MaxSelectionSize > 0 && len(enabled) > opts.MaxSelectionSize
 		selScratch = forEachSelection(enabled, opts.MaxSelectionSize, selScratch, func(sel []int) {
-			next := applyStep(ev, memo, c, sel)
+			next := applyStep(ev, cache, c, sel)
 			var key string
 			key, buf = interner.AppendKey(buf, next)
 			s := succ{key: key, cfg: next, idx: -1}
@@ -292,13 +294,15 @@ func Explore(net *sim.Network, alg sim.Algorithm, starts []*sim.Configuration, o
 		return ex, enabledBuf, rulesBuf, selScratch, buf
 	}
 
-	// One memo evaluator per potential worker, created once so the tables
-	// accumulate across BFS levels (evaluator 0 doubles as the sequential
-	// path's). A MemoEvaluator is single-goroutine state; only the share
+	// One guard cache per potential worker, created once so the tables
+	// accumulate across BFS levels (cache 0 doubles as the sequential
+	// path's). A guardCache is single-goroutine state; only the interner
 	// behind them is synchronised.
-	memos := make([]*sim.MemoEvaluator, workers)
-	for i := range memos {
-		memos[i] = newMemo()
+	caches := make([]*guardCache, workers)
+	if cached {
+		for i := range caches {
+			caches[i] = newGuardCache(ev, interner)
+		}
 	}
 
 	expansions := make([]expansion, 0, len(queue))
@@ -314,12 +318,12 @@ func Explore(net *sim.Network, alg sim.Algorithm, starts []*sim.Configuration, o
 			var enabledBuf, rulesBuf, selScratch []int
 			for i, idx := range level {
 				expansions[i], enabledBuf, rulesBuf, selScratch, keyBuf =
-					expand(idx, memos[0], enabledBuf, rulesBuf, selScratch, keyBuf)
+					expand(idx, caches[0], enabledBuf, rulesBuf, selScratch, keyBuf)
 			}
 		} else {
 			// Fan the level out over the worker pool, strided so assignment
 			// needs no coordination. Workers only read already-merged shared
-			// state; each owns its scratch buffers and memo evaluator, and the
+			// state; each owns its scratch buffers and guard cache, and the
 			// interner is internally synchronised.
 			var wg sync.WaitGroup
 			for g := 0; g < w; g++ {
@@ -330,7 +334,7 @@ func Explore(net *sim.Network, alg sim.Algorithm, starts []*sim.Configuration, o
 					var buf []byte
 					for i := g; i < len(level); i += w {
 						expansions[i], enabledBuf, rulesBuf, selScratch, buf =
-							expand(level[i], memos[g], enabledBuf, rulesBuf, selScratch, buf)
+							expand(level[i], caches[g], enabledBuf, rulesBuf, selScratch, buf)
 					}
 				}(g)
 			}
@@ -461,10 +465,10 @@ func forEachSelection(enabled []int, maxSize int, scratch []int, fn func(sel []i
 }
 
 // applyStep applies a composite-atomicity step in which exactly the selected
-// processes execute their (single) enabled rule. With a memo evaluator, the
-// rule is read from the cached mask (the caller has just synchronised the
-// memo against c); the action itself always evaluates directly.
-func applyStep(ev *sim.Evaluator, memo *sim.MemoEvaluator, c *sim.Configuration, selected []int) *sim.Configuration {
+// processes execute their (single) enabled rule. With a guard cache, the
+// rule is read from the cached mask (the caller has just loaded c into the
+// cache); the action itself always evaluates directly.
+func applyStep(ev *sim.Evaluator, cache *guardCache, c *sim.Configuration, selected []int) *sim.Configuration {
 	states := make([]sim.State, c.N())
 	for u := 0; u < c.N(); u++ {
 		states[u] = c.State(u)
@@ -472,9 +476,9 @@ func applyStep(ev *sim.Evaluator, memo *sim.MemoEvaluator, c *sim.Configuration,
 	next := sim.NewConfiguration(states)
 	net, rules := ev.Network(), ev.Rules()
 	for _, u := range selected {
-		if memo != nil {
-			if ri := memo.FirstEnabledRule(c, u); ri >= 0 {
-				next.SetState(u, rules[ri].Action(net.View(c, u)))
+		if cache != nil {
+			if m := cache.masks[u]; m != 0 {
+				next.SetState(u, rules[bits.TrailingZeros64(m)].Action(net.View(c, u)))
 			}
 			continue
 		}

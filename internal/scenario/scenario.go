@@ -163,6 +163,9 @@ func (s Spec) Resolve() (*Run, error) {
 	if err != nil {
 		return nil, err
 	}
+	if err := topo.checkN(s.N); err != nil {
+		return nil, err
+	}
 	daemonEntry, err := DaemonByName(s.Daemon)
 	if err != nil {
 		return nil, err

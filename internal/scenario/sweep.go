@@ -116,8 +116,14 @@ func (s Sweep) Validate() error {
 		}
 	}
 	for _, name := range s.Topologies {
-		if _, err := TopologyByName(name); err != nil {
+		topo, err := TopologyByName(name)
+		if err != nil {
 			return err
+		}
+		for _, n := range s.Sizes {
+			if err := topo.checkN(n); err != nil {
+				return err
+			}
 		}
 	}
 	for _, name := range s.Daemons {

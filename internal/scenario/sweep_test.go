@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"errors"
+	"math/rand"
 	"testing"
 )
 
@@ -69,6 +70,8 @@ func TestSweepValidate(t *testing.T) {
 		{Algorithms: []string{"unison"}, Topologies: []string{"nope"}, Daemons: []string{"synchronous"}, Sizes: []int{6}},
 		{Algorithms: []string{"unison"}, Topologies: []string{"ring"}, Daemons: []string{"nope"}, Sizes: []int{6}},
 		{Algorithms: []string{"unison"}, Topologies: []string{"ring"}, Daemons: []string{"synchronous"}, Faults: []string{"nope"}, Sizes: []int{6}},
+		{Algorithms: []string{"unison"}, Topologies: []string{"ring"}, Daemons: []string{"synchronous"}, Sizes: []int{6, 2}},
+		{Algorithms: []string{"unison"}, Topologies: []string{"grid"}, Daemons: []string{"synchronous"}, Sizes: []int{0}},
 	} {
 		err := bad.Validate()
 		if err == nil {
@@ -76,6 +79,29 @@ func TestSweepValidate(t *testing.T) {
 		}
 		if len(bad.Algorithms) == 1 && bad.Algorithms[0] == "nope" && !errors.Is(err, ErrUnknown) {
 			t.Errorf("unknown name error not wrapped: %v", err)
+		}
+	}
+}
+
+// TestTopologyMinimumSizes pins every family's size floor: the smallest
+// size checkN accepts builds without panicking, and Resolve rejects the size
+// below it with an error instead of letting the generator panic.
+func TestTopologyMinimumSizes(t *testing.T) {
+	for _, name := range Topologies() {
+		topo, err := TopologyByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		minN := max(topo.MinN, 1)
+		if err := topo.checkN(minN); err != nil {
+			t.Errorf("%s: checkN(%d) = %v", name, minN, err)
+		}
+		if g := topo.Build(minN, Params{}, rand.New(rand.NewSource(1))); g.N() < 1 {
+			t.Errorf("%s: Build(%d) returned an empty graph", name, minN)
+		}
+		below := Spec{Algorithm: "unison", Topology: name, N: minN - 1, Daemon: "synchronous", Seed: 1}
+		if _, err := below.Resolve(); err == nil {
+			t.Errorf("%s: Resolve accepted n=%d", name, minN-1)
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"fmt"
 	"math/rand"
 
 	"sdr/internal/graph"
@@ -15,9 +16,21 @@ type TopologyEntry struct {
 	// Description is a one-line summary of the family and its parameter
 	// conventions (rounding, Params fields consumed) for -list output.
 	Description string
+	// MinN is the smallest size Build accepts (the generator panics below
+	// it); 0 means 1. Families that round n to a buildable size need none.
+	MinN int
 	// Build generates the graph. Random families consume rng; deterministic
 	// families ignore it.
 	Build func(n int, p Params, rng *rand.Rand) *graph.Graph
+}
+
+// checkN reports whether n is a size the family can build: every size must
+// be positive, and at least the entry's MinN.
+func (e TopologyEntry) checkN(n int) error {
+	if minN := max(e.MinN, 1); n < minN {
+		return fmt.Errorf("scenario: topology %q requires n >= %d, got %d", e.Name, minN, n)
+	}
+	return nil
 }
 
 var topologyRegistry = newRegistry[TopologyEntry]("topology")
@@ -58,31 +71,37 @@ func init() {
 	RegisterTopology(TopologyEntry{
 		Name:        "ring",
 		Description: "cycle C_n (exact n, n ≥ 3); worst case for wave algorithms",
+		MinN:        3,
 		Build:       func(n int, _ Params, _ *rand.Rand) *graph.Graph { return graph.Ring(n) },
 	})
 	RegisterTopology(TopologyEntry{
 		Name:        "path",
 		Description: "path P_n (exact n)",
+		MinN:        1,
 		Build:       func(n int, _ Params, _ *rand.Rand) *graph.Graph { return graph.Path(n) },
 	})
 	RegisterTopology(TopologyEntry{
 		Name:        "star",
 		Description: "star K_{1,n-1} with node 0 at the centre (exact n); low diameter, high degree",
+		MinN:        2,
 		Build:       func(n int, _ Params, _ *rand.Rand) *graph.Graph { return graph.Star(n) },
 	})
 	RegisterTopology(TopologyEntry{
 		Name:        "complete",
 		Description: "complete graph K_n (exact n)",
+		MinN:        1,
 		Build:       func(n int, _ Params, _ *rand.Rand) *graph.Graph { return graph.Complete(n) },
 	})
 	RegisterTopology(TopologyEntry{
 		Name:        "binary-tree",
 		Description: "complete-ish binary tree rooted at 0 (exact n)",
+		MinN:        1,
 		Build:       func(n int, _ Params, _ *rand.Rand) *graph.Graph { return graph.BinaryTree(n) },
 	})
 	RegisterTopology(TopologyEntry{
 		Name:        "tree",
 		Description: "uniformly random labelled tree (exact n)",
+		MinN:        1,
 		Build:       func(n int, _ Params, rng *rand.Rand) *graph.Graph { return graph.RandomTree(n, rng) },
 	})
 	RegisterTopology(TopologyEntry{

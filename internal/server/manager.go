@@ -29,8 +29,6 @@ type Config struct {
 	// (and statuses) are retained, LRU-evicted; completed jobs serve
 	// duplicate submissions from this cache.
 	ResultCache int
-	// MemoCap bounds each cell's transition-memo table (0 = sim default).
-	MemoCap int
 	// Registry receives the manager's metric families (job counters, queue
 	// gauges, the job-duration histogram, the records counter); nil creates
 	// a private registry. The HTTP layer serves it at GET /metrics, and
@@ -97,9 +95,6 @@ type Manager struct {
 	draining bool
 	seq      int
 
-	memoRateSum float64
-	memoRateN   int
-
 	accepted      *obs.Counter // newly created jobs
 	done          *obs.Counter
 	failed        *obs.Counter
@@ -149,14 +144,6 @@ func NewManager(cfg Config) *Manager {
 		m.mu.Lock()
 		defer m.mu.Unlock()
 		return float64(m.lru.Len())
-	})
-	reg.GaugeFunc("sdrd_memo_hit_rate_mean", "Mean memo_hit_rate over completed cells that recorded it.", func() float64 {
-		m.mu.Lock()
-		defer m.mu.Unlock()
-		if m.memoRateN == 0 {
-			return 0
-		}
-		return m.memoRateSum / float64(m.memoRateN)
 	})
 	for i := 0; i < cfg.Workers; i++ {
 		m.wg.Add(1)
@@ -260,7 +247,7 @@ func (m *Manager) Drain() {
 		case job := <-m.queue:
 			job.Cancel(time.Now())
 			job.log.finish()
-			m.finalize(job, StateInterrupted, nil, 0)
+			m.finalize(job, StateInterrupted, 0)
 		default:
 			return
 		}
@@ -289,7 +276,7 @@ func (m *Manager) process(job *Job) {
 	if !job.claimRun(cancel, time.Now()) {
 		// Cancelled while queued: never started, nothing recorded.
 		job.log.finish()
-		m.finalize(job, StateInterrupted, nil, 0)
+		m.finalize(job, StateInterrupted, 0)
 		return
 	}
 	m.running.Add(1)
@@ -305,7 +292,6 @@ func (m *Manager) process(job *Job) {
 	start := time.Now()
 	res, err := campaign.RunSink(job.Spec, job.log, campaign.Options{
 		Parallel: m.cfg.Parallel,
-		MemoCap:  m.cfg.MemoCap,
 		Context:  jctx,
 	})
 	elapsed := time.Since(start)
@@ -313,10 +299,10 @@ func (m *Manager) process(job *Job) {
 	switch {
 	case errors.Is(err, campaign.ErrInterrupted):
 		job.finishAs(StateInterrupted, err.Error(), 0, time.Now())
-		m.finalize(job, StateInterrupted, nil, elapsed)
+		m.finalize(job, StateInterrupted, elapsed)
 	case err != nil:
 		job.finishAs(StateFailed, err.Error(), 0, time.Now())
-		m.finalize(job, StateFailed, nil, elapsed)
+		m.finalize(job, StateFailed, elapsed)
 	default:
 		violations := 0
 		for _, c := range res.Cells {
@@ -325,7 +311,7 @@ func (m *Manager) process(job *Job) {
 			}
 		}
 		job.finishAs(StateDone, "", violations, time.Now())
-		m.finalize(job, StateDone, res, elapsed)
+		m.finalize(job, StateDone, elapsed)
 	}
 }
 
@@ -333,7 +319,7 @@ func (m *Manager) process(job *Job) {
 // the counters. Only done jobs stay in the dedup index: an interrupted or
 // failed job's stream is not the full answer, so an identical resubmission
 // runs fresh.
-func (m *Manager) finalize(job *Job, state JobState, res *campaign.Result, elapsed time.Duration) {
+func (m *Manager) finalize(job *Job, state JobState, elapsed time.Duration) {
 	switch state {
 	case StateDone:
 		m.done.Inc()
@@ -355,14 +341,6 @@ func (m *Manager) finalize(job *Job, state JobState, res *campaign.Result, elaps
 	defer m.mu.Unlock()
 	if state == StateFailed || state == StateInterrupted {
 		delete(m.byHash, job.Hash)
-	}
-	if res != nil {
-		for _, c := range res.Cells {
-			if agg, ok := c.Metrics[campaign.MetricMemoHitRate]; ok {
-				m.memoRateSum += agg.Mean
-				m.memoRateN++
-			}
-		}
 	}
 	m.lruIndex[job.ID] = m.lru.PushFront(job)
 	for m.lru.Len() > m.cfg.ResultCache {
@@ -417,9 +395,6 @@ type Stats struct {
 	DedupHitsInFlight int `json:"dedup_hits_in_flight"`
 	DedupHitsCached   int `json:"dedup_hits_cached"`
 	CachedJobs        int `json:"cached_jobs"`
-	// MemoHitRateMean averages the memo_hit_rate metric over every completed
-	// cell that recorded it (see internal/sim memoization).
-	MemoHitRateMean float64 `json:"memo_hit_rate_mean"`
 	// JobLatency summarises run durations of finished jobs.
 	JobLatency LatencySummary `json:"job_latency"`
 }
@@ -442,9 +417,6 @@ func (m *Manager) Stats() Stats {
 		DedupHitsCached:   int(m.dedupCached.Value()),
 	}
 	s.DedupHits = s.DedupHitsInFlight + s.DedupHitsCached
-	if m.memoRateN > 0 {
-		s.MemoHitRateMean = m.memoRateSum / float64(m.memoRateN)
-	}
 	m.mu.Unlock()
 	if n := m.jobDuration.Count(); n > 0 {
 		s.JobLatency = LatencySummary{

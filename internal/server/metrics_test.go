@@ -154,7 +154,7 @@ func TestLatencySummaryOutlivesOldRing(t *testing.T) {
 	for i := 1; i <= n; i++ {
 		job := newJob(fmt.Sprintf("t%06d", i), fmt.Sprintf("hash%d", i), specForTest(t, int64(i)), time.Now(), nil)
 		job.log.finish()
-		m.finalize(job, StateDone, nil, time.Duration(i)*time.Millisecond)
+		m.finalize(job, StateDone, time.Duration(i)*time.Millisecond)
 	}
 	s := m.Stats()
 	if s.JobLatency.Count != n {

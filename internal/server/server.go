@@ -6,7 +6,7 @@
 //
 //	GET    /v1/registry          registered algorithms/topologies/daemons/faults/churns
 //	GET    /v1/version           environment fingerprint (same helper as campaign baselines)
-//	GET    /v1/stats             queue depth, dedup and memo hit counters, job latency percentiles
+//	GET    /v1/stats             queue depth, job and dedup counters, job latency percentiles
 //	POST   /v1/jobs              submit a spec, sweep or campaign job
 //	GET    /v1/jobs/{id}         job status
 //	DELETE /v1/jobs/{id}         cancel at the next record boundary

@@ -452,8 +452,48 @@ func TestResultCacheEviction(t *testing.T) {
 	}
 }
 
+// TestSubmitBelowMinimumSizeRejected pins the fix for sizes a topology
+// generator cannot build (a ring needs n ≥ 3, a star n ≥ 2): they used to be
+// accepted with 202 and then panic the worker, killing the process. They
+// must get a 400 in every job kind, and the service must keep serving.
+func TestSubmitBelowMinimumSizeRejected(t *testing.T) {
+	m, ts := newTestServer(t, Config{Workers: 1, QueueDepth: 4})
+	for _, body := range []string{
+		`{"spec":{"algorithm":"unison","topology":"ring","n":2,"daemon":"synchronous","seed":1}}`,
+		`{"spec":{"algorithm":"unison","topology":"star","n":1,"daemon":"synchronous","seed":1}}`,
+		`{"sweep":{"algorithms":["unison"],"topologies":["ring"],"daemons":["synchronous"],"sizes":[4,2],"seed":1}}`,
+		`{"campaign":{"id":"tiny","algorithms":["unison"],"topologies":["star"],"daemons":["synchronous"],"sizes":[1],"seed":1}}`,
+	} {
+		resp, _, raw := postJob(t, ts, []byte(body))
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s: %s (want 400): %s", body, resp.Status, raw)
+		}
+	}
+
+	statsResp, err := http.Get(ts.URL + "/v1/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer statsResp.Body.Close()
+	var s Stats
+	if err := json.NewDecoder(statsResp.Body).Decode(&s); err != nil {
+		t.Fatal(err)
+	}
+	if statsResp.StatusCode != http.StatusOK || s.JobsAccepted != 0 {
+		t.Errorf("stats after rejected submissions: %s %+v", statsResp.Status, s)
+	}
+
+	resp, sr, _ := postJob(t, ts, specBody(t, 1))
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("valid submit after rejections: %s", resp.Status)
+	}
+	job, _ := m.Get(sr.ID)
+	awaitState(t, job, StateDone)
+}
+
 // TestStatsLatencyAndMemoRates checks that finished jobs feed the latency
-// percentiles and the memoization hit-rate average surfaced by /v1/stats.
+// percentiles surfaced by /v1/stats, and that the memoization hit-rate
+// average is gone from the payload with the engine's transition memo.
 func TestStatsLatencyAndMemoRates(t *testing.T) {
 	m, ts := newTestServer(t, Config{Workers: 1, QueueDepth: 4})
 	resp, sr, _ := postJob(t, ts, specBody(t, 1))
@@ -468,15 +508,23 @@ func TestStatsLatencyAndMemoRates(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer statsResp.Body.Close()
+	raw, err := io.ReadAll(statsResp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var s Stats
-	if err := json.NewDecoder(statsResp.Body).Decode(&s); err != nil {
+	if err := json.Unmarshal(raw, &s); err != nil {
 		t.Fatal(err)
 	}
 	if s.JobLatency.Count != 1 || s.JobLatency.MeanMS <= 0 {
 		t.Errorf("job latency not recorded: %+v", s.JobLatency)
 	}
-	if s.MemoHitRateMean <= 0 {
-		t.Errorf("memo hit rate mean = %v, want > 0 (memoization is on by default)", s.MemoHitRateMean)
+	var fields map[string]json.RawMessage
+	if err := json.Unmarshal(raw, &fields); err != nil {
+		t.Fatal(err)
+	}
+	if v, ok := fields["memo_hit_rate_mean"]; ok {
+		t.Errorf("/v1/stats still reports memo_hit_rate_mean = %s", v)
 	}
 }
 

@@ -186,6 +186,27 @@ type Algorithm interface {
 	InitialState(u int, net *Network) State
 }
 
+// IdentifierUser is optionally implemented by algorithms to declare whether
+// their rule guards read View.ID/NeighborID (directly or through composed
+// predicates). Algorithms that do not implement it are conservatively
+// assumed to read identifiers, which only makes neighbourhood cache keys
+// (the checker's guard cache) longer — anonymous algorithms (unison, BPV)
+// declare false and share cache entries across processes with equal
+// neighbourhood states.
+type IdentifierUser interface {
+	UsesIdentifiers() bool
+}
+
+// AlgorithmUsesIdentifiers reports whether neighbourhood cache keys for the
+// algorithm must include process identifiers: false only when the algorithm
+// explicitly declares itself identifier-free.
+func AlgorithmUsesIdentifiers(a Algorithm) bool {
+	if iu, ok := a.(IdentifierUser); ok {
+		return iu.UsesIdentifiers()
+	}
+	return true
+}
+
 // Enumerable is implemented by algorithms whose per-process state space can
 // be enumerated, enabling exhaustive verification on small networks.
 type Enumerable interface {

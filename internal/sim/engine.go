@@ -58,8 +58,6 @@ type Options struct {
 	rng                *rand.Rand
 	stopWhenLegitimate bool
 	injector           Injector
-	memo               *MemoShare
-	memoReadOnly       bool
 	shards             int
 	profiler           *obs.PhaseProfiler
 }
@@ -85,13 +83,8 @@ func (o *Options) validate() error {
 	if o.shards < 0 {
 		return fmt.Errorf("sim: WithShards(%d): the shard count must be non-negative", o.shards)
 	}
-	if o.shards > 1 {
-		if o.ruleChoice == RandomEnabledRule {
-			return fmt.Errorf("sim: WithShards(%d) is incompatible with RandomEnabledRule: shards execute rules concurrently, so draws from the shared rng would consume it in a nondeterministic order", o.shards)
-		}
-		if o.memo != nil {
-			return fmt.Errorf("sim: WithShards(%d) is incompatible with WithMemo: the memoized evaluator is not safe for concurrent guard evaluation", o.shards)
-		}
+	if o.shards > 1 && o.ruleChoice == RandomEnabledRule {
+		return fmt.Errorf("sim: WithShards(%d) is incompatible with RandomEnabledRule: shards execute rules concurrently, so draws from the shared rng would consume it in a nondeterministic order", o.shards)
 	}
 	return nil
 }
@@ -132,28 +125,6 @@ func WithRuleChoice(p RuleChoicePolicy, rng *rand.Rand) Option {
 // executions never terminate).
 func WithStopWhenLegitimate() Option {
 	return func(o *Options) { o.stopWhenLegitimate = true }
-}
-
-// WithMemo attaches a neighbourhood-transition memo share to the run: guard
-// enabledness is answered from the share's frozen table (and a run-local
-// overlay) instead of re-evaluating guards, and the first run to finish
-// against an unfrozen share donates its table for the remaining runs of the
-// cell. A nil share is a no-op, so callers thread an optional share through
-// unconditionally. Memoized runs are bit-identical to unmemoized ones (the
-// cache stores pure functions of closed neighbourhoods); Result.Memo carries
-// the hit/miss telemetry.
-func WithMemo(share *MemoShare) Option {
-	return func(o *Options) { o.memo = share; o.memoReadOnly = false }
-}
-
-// WithMemoReadOnly is WithMemo without the donation half of the protocol: the
-// run answers from the share's frozen table (and a private overlay) but never
-// donates its own table, even when the share is still unfrozen. Grid runners
-// hand it to every trial except the designated cache-filling one, so a cell
-// whose warm trial was skipped keeps per-trial hit counts deterministic
-// instead of racing the remaining trials for donation.
-func WithMemoReadOnly(share *MemoShare) Option {
-	return func(o *Options) { o.memo = share; o.memoReadOnly = true }
 }
 
 // WithProfiler attaches a phase profiler to the run: on the profiler's
@@ -224,9 +195,6 @@ type Result struct {
 	// predicate evaluation out of the hot loop once the first legitimate
 	// configuration is recorded).
 	LegitimateSteps int
-	// Memo carries the transition-memoization telemetry of the run (all
-	// zero when the run executed without WithMemo).
-	Memo MemoStats
 }
 
 // Availability returns the fraction of executed steps whose resulting
@@ -344,9 +312,9 @@ func (e *Engine) Run(start *Configuration, opts ...Option) Result {
 // read closed neighbourhoods only (the locally shared memory model), so
 // enabledness cannot change anywhere else. The configuration is
 // double-buffered instead of cloned per step, and the neutralization-based
-// round accounting runs on reusable bitsets. RunReference retains the
-// straightforward implementation; the two are differentially tested to
-// produce bit-identical Results.
+// round accounting runs on reusable bitsets. The tests retain the
+// straightforward implementation as RunReference; the two are differentially
+// tested to produce bit-identical Results.
 //
 // With WithShards(k), k > 1, the run executes the sharded loop of
 // runSharded instead: guard evaluation and rule execution are partitioned
@@ -372,23 +340,6 @@ func (e *Engine) run(start *Configuration, o Options) Result {
 	n := e.net.N()
 	ev := NewEvaluator(e.alg, e.net)
 	rules := ev.Rules()
-
-	// With a memo share attached, enabledness questions go through the
-	// memoized evaluator (nil when the rule set cannot be memoized, falling
-	// back to direct evaluation). The memoized answers are bit-identical to
-	// ev.Enabled by construction — the cache stores pure functions of closed
-	// neighbourhoods — so the rest of the loop is oblivious to the choice.
-	var memo *MemoEvaluator
-	if o.memo != nil {
-		memo = NewMemoEvaluator(ev, o.memo)
-		if memo != nil && o.memoReadOnly {
-			memo.donor = false
-		}
-	}
-	enabledAt := ev.Enabled
-	if memo != nil {
-		enabledAt = memo.Enabled
-	}
 
 	// Double-buffered state vectors: guards and the daemon read cur, the
 	// step's writes land in next, and the two swap after every step.
@@ -457,7 +408,7 @@ func (e *Engine) run(start *Configuration, o Options) Result {
 	// materialisation handed to daemons.
 	enabledBits := newBitset(n)
 	for u := 0; u < n; u++ {
-		if enabledAt(curCfg, u) {
+		if ev.Enabled(curCfg, u) {
 			enabledBits.set(u)
 		}
 	}
@@ -526,15 +477,9 @@ func (e *Engine) run(start *Configuration, o Options) Result {
 				// Re-seed the incremental machinery: states and topology may
 				// have changed arbitrarily, so the whole enabled set is
 				// recomputed and a fresh round starts at the perturbed
-				// configuration. The memo's per-process state-id mirror is
-				// stale for the same reason (the memo tables themselves stay
-				// valid: keys self-describe the neighbourhood, so entries for
-				// the old topology are simply never probed again).
-				if memo != nil {
-					memo.InvalidateAll()
-				}
+				// configuration.
 				for u := 0; u < n; u++ {
-					if enabledAt(curCfg, u) {
+					if ev.Enabled(curCfg, u) {
 						enabledBits.set(u)
 					} else {
 						enabledBits.clear(u)
@@ -601,12 +546,7 @@ func (e *Engine) run(start *Configuration, o Options) Result {
 		ruleNames = ruleNames[:0]
 		for _, u := range selected {
 			v := e.net.View(curCfg, u)
-			var ri int
-			if memo != nil {
-				ri = chooseRuleFromMask(memo.Mask(curCfg, u), o)
-			} else {
-				ri = chooseRule(rules, v, o, ruleIdx)
-			}
+			ri := chooseRule(rules, v, o, ruleIdx)
 			if ri < 0 {
 				// Defensive: the daemon selected a non-enabled process; skip.
 				ruleNames = append(ruleNames, "")
@@ -635,21 +575,14 @@ func (e *Engine) run(start *Configuration, o Options) Result {
 		}
 
 		// Install the step and refresh enabledness only where it can change.
-		// Only the activated processes hold new states, so only their memoized
-		// ids go stale.
 		curStates, nextStates = nextStates, curStates
 		curCfg, nextCfg = nextCfg, curCfg
-		if memo != nil {
-			for _, u := range selected {
-				memo.Invalidate(u)
-			}
-		}
 		for wi, word := range touched {
 			base := wi << 6
 			for word != 0 {
 				u := base + bits.TrailingZeros64(word)
 				word &= word - 1
-				if enabledAt(curCfg, u) {
+				if ev.Enabled(curCfg, u) {
 					enabledBits.set(u)
 				} else {
 					enabledBits.clear(u)
@@ -709,10 +642,6 @@ func (e *Engine) run(start *Configuration, o Options) Result {
 	res.Terminated = len(enabledList) == 0
 	res.Final = NewConfiguration(curStates)
 	res.finish()
-	if memo != nil {
-		res.Memo = memo.Stats()
-		memo.Finish()
-	}
 	return res
 }
 
@@ -760,22 +689,4 @@ func chooseRule(rules []Rule, v View, o Options, scratch []int) int {
 	// Options.validate rejects a nil rng for RandomEnabledRule, so o.rng is
 	// always set here.
 	return enabled[o.rng.Intn(len(enabled))]
-}
-
-// chooseRuleFromMask is chooseRule over a memoized enabled-rule bitmask. It
-// consumes the rng identically (one Intn over the same count, selecting set
-// bits in ascending index order), so memoized and direct runs stay
-// bit-identical under both policies.
-func chooseRuleFromMask(mask uint64, o Options) int {
-	if mask == 0 {
-		return -1
-	}
-	if o.ruleChoice == FirstEnabledRule {
-		return bits.TrailingZeros64(mask)
-	}
-	pick := o.rng.Intn(bits.OnesCount64(mask))
-	for ; pick > 0; pick-- {
-		mask &= mask - 1
-	}
-	return bits.TrailingZeros64(mask)
 }

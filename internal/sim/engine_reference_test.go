@@ -9,8 +9,8 @@ package sim
 // seeds, and the benchmarks in engine_bench_test.go quantify the speedup.
 
 // RunReference executes the algorithm exactly like Run but with the retained
-// reference implementation. It is exported for differential tests and
-// benchmarks; simulation code should always use Run.
+// reference implementation. It lives in a test file: the differential tests
+// and benchmarks of this package are its only callers.
 func (e *Engine) RunReference(start *Configuration, opts ...Option) Result {
 	o := defaultOptions()
 	for _, opt := range opts {

@@ -95,3 +95,18 @@ func TestKeyInternerEquivalence(t *testing.T) {
 		}
 	}
 }
+
+func TestZigzag(t *testing.T) {
+	cases := map[int]uint64{0: 0, -1: 1, 1: 2, -2: 3, 2: 4}
+	for v, want := range cases {
+		if got := ZigZag64(v); got != want {
+			t.Errorf("ZigZag64(%d) = %d, want %d", v, got, want)
+		}
+	}
+}
+
+func TestAlgorithmUsesIdentifiersDefault(t *testing.T) {
+	if !AlgorithmUsesIdentifiers(maxPropagation{}) {
+		t.Fatal("algorithm without a declaration not treated as identified")
+	}
+}

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"sdr/internal/alliance"
+	"sdr/internal/churn"
 	"sdr/internal/core"
 	"sdr/internal/faults"
 	"sdr/internal/graph"
@@ -225,5 +226,78 @@ func TestInjectionFastForwardAtTerminal(t *testing.T) {
 	}
 	if res.HitStepLimit {
 		t.Errorf("run hit the step limit instead of terminating")
+	}
+}
+
+// TestMemoChurnMatchesPlain pins reproducibility of churned runs now that
+// guards are evaluated directly: two runs under an identical churn schedule
+// (state corruption, crash-reboot and topology mutation), each on its own
+// freshly built network, injector and start configuration from the same
+// seeds, are bit-identical — counters, final configuration, event log and
+// legitimacy accounting. One of the two carries a step hook, which must not
+// perturb the run. Churn mutates the network in place, which is why the
+// setups are built separately rather than shared.
+func TestMemoChurnMatchesPlain(t *testing.T) {
+	sched := churn.Schedule{
+		Pattern: churn.Periodic,
+		Events:  6,
+		Every:   150,
+		Start:   100,
+		EventKinds: []churn.Kind{
+			churn.CorruptFraction, churn.EdgeDrop, churn.EdgeAdd, churn.NodeCrash,
+		},
+		Fraction: 0.3,
+		Count:    1,
+	}
+	type setup struct {
+		net   *sim.Network
+		alg   sim.Algorithm
+		start *sim.Configuration
+		opts  []sim.Option
+	}
+	build := func(extra ...sim.Option) setup {
+		rng := rand.New(rand.NewSource(41))
+		g := graph.RandomConnected(10, 0.35, rng)
+		net := sim.NewNetwork(g)
+		u := unison.New(unison.DefaultPeriod(g.N()))
+		comp := core.Compose(u)
+		start := faults.MustRandomConfiguration(comp, net, rng)
+		inj, err := churn.NewInjector(sched, comp, u, net, rand.New(rand.NewSource(99)))
+		if err != nil {
+			t.Fatalf("NewInjector: %v", err)
+		}
+		opts := append([]sim.Option{
+			sim.WithMaxSteps(4_000),
+			sim.WithLegitimate(core.NormalPredicate(u, net)),
+			sim.WithInjector(inj),
+		}, extra...)
+		return setup{net: net, alg: comp, start: start, opts: opts}
+	}
+	for _, df := range sim.StandardDaemonFactories() {
+		hooked := 0
+		plainSetup := build()
+		hookSetup := build(sim.WithStepHook(func(sim.StepInfo) { hooked++ }))
+		plain := sim.NewEngine(plainSetup.net, plainSetup.alg, df.New(13)).
+			Run(plainSetup.start, plainSetup.opts...)
+		rerun := sim.NewEngine(hookSetup.net, hookSetup.alg, df.New(13)).
+			Run(hookSetup.start, hookSetup.opts...)
+		assertResultsIdentical(t, "churn/"+df.Name, rerun, plain)
+		if hooked != rerun.Steps {
+			t.Fatalf("%s: hook saw %d steps, run took %d", df.Name, hooked, rerun.Steps)
+		}
+		if len(plain.Events) == 0 {
+			t.Fatalf("%s: churned run recorded no events", df.Name)
+		}
+		if len(rerun.Events) != len(plain.Events) {
+			t.Fatalf("%s: %d events vs %d", df.Name, len(rerun.Events), len(plain.Events))
+		}
+		for i := range rerun.Events {
+			if rerun.Events[i] != plain.Events[i] {
+				t.Fatalf("%s event %d: %+v vs %+v", df.Name, i, rerun.Events[i], plain.Events[i])
+			}
+		}
+		if rerun.LegitimateSteps != plain.LegitimateSteps {
+			t.Fatalf("%s: LegitimateSteps %d vs %d", df.Name, rerun.LegitimateSteps, plain.LegitimateSteps)
+		}
 	}
 }

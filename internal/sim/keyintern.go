@@ -59,9 +59,9 @@ func AppendStateKey(dst []byte, s State) []byte {
 // (distinct encodings for equal renderings are harmless — they intern to the
 // same id). Key64 reports false when this particular value does not fit the
 // 64 bits; callers fall back to the rendering path, so implementations can
-// assume nothing about field ranges and simply bounds-check. The memo layer
-// fronts the shared interner with an evaluator-local map keyed by these
-// encodings, turning the per-move re-interning of a state into one unlocked
+// assume nothing about field ranges and simply bounds-check. The checker's
+// guard cache fronts the shared interner with a worker-local map keyed by
+// these encodings, turning the re-interning of a state into one unlocked
 // integer-map probe instead of a rendering plus a locked string-map lookup.
 type KeyedState interface {
 	Key64() (uint64, bool)

@@ -49,8 +49,8 @@ import (
 // concurrently on k contiguous node ranges. Synchronous-daemon runs are
 // bit-identical to sequential ones; all other daemons switch to the
 // documented locally-central sharded family (one Select call per non-empty
-// shard per step). Sharding is incompatible with RandomEnabledRule and with
-// WithMemo; Options.validate reports both combinations as errors. Shard
+// shard per step). Sharding is incompatible with RandomEnabledRule;
+// Options.validate reports the combination as an error. Shard
 // counts larger than ⌈n/64⌉ are silently capped (boundaries are 64-aligned
 // so that bitset words have a single writer).
 func WithShards(k int) Option {

@@ -251,9 +251,8 @@ func TestShardedInjectorCrossShardChurn(t *testing.T) {
 }
 
 // TestShardOptionValidation pins the documented invalid combinations: a
-// negative shard count, sharding with the random rule-choice policy, and
-// sharding with memoization are all reported as errors by RunE (and panics
-// by Run), never silently degraded.
+// negative shard count and sharding with the random rule-choice policy are
+// reported as errors by RunE (and panics by Run), never silently degraded.
 func TestShardOptionValidation(t *testing.T) {
 	g := graph.Ring(8)
 	net := sim.NewNetwork(g)
@@ -270,10 +269,6 @@ func TestShardOptionValidation(t *testing.T) {
 		{"shards+random-rule-choice", []sim.Option{
 			sim.WithShards(2),
 			sim.WithRuleChoice(sim.RandomEnabledRule, rand.New(rand.NewSource(1))),
-		}},
-		{"shards+memo", []sim.Option{
-			sim.WithShards(2),
-			sim.WithMemo(sim.NewMemoShare(1 << 16)),
 		}},
 		{"negative-max-steps", []sim.Option{sim.WithMaxSteps(-1)}},
 	}

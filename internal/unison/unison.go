@@ -72,8 +72,8 @@ func (u *Unison) K() int { return u.k }
 
 // UsesIdentifiers implements sim.IdentifierUser: Algorithm U is anonymous —
 // its rules and predicates (including P_reset and P_ICorrect used by the
-// SDR composition) read clock values only — so memoized guard caches may be
-// shared across processes with equal neighbourhood states.
+// SDR composition) read clock values only — so the checker's guard cache
+// may share entries across processes with equal neighbourhood states.
 func (u *Unison) UsesIdentifiers() bool { return false }
 
 // ValidatePeriod checks the paper's requirement K > n for the given network.
